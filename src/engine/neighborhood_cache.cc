@@ -99,15 +99,18 @@ void NeighborhoodCache::Insert(const SpatialIndex* relation,
       return;
     }
     while (shard.bytes + cost > shard_capacity_ && !shard.lru.empty()) {
-      const Entry& victim = shard.lru.back();
+      Entry& victim = shard.lru.back();
+      UnlinkChain(shard, &victim);
       shard.bytes -= victim.bytes;
       evicted_bytes += victim.bytes;
       shard.map.erase(victim.key);
       shard.lru.pop_back();
       ++evicted;
     }
-    shard.lru.push_front(Entry{key, neighborhood, cost});
+    shard.lru.push_front(
+        Entry{.key = key, .neighborhood = neighborhood, .bytes = cost});
     shard.map.emplace(key, shard.lru.begin());
+    LinkChain(shard, &shard.lru.front());
     shard.bytes += cost;
   }
   bytes_.fetch_add(cost, std::memory_order_relaxed);
@@ -123,45 +126,71 @@ void NeighborhoodCache::Clear() {
     std::lock_guard<std::mutex> lock(shard->mu);
     bytes_.fetch_sub(shard->bytes, std::memory_order_relaxed);
     shard->map.clear();
+    shard->chains.clear();
     shard->lru.clear();
     shard->bytes = 0;
   }
 }
 
-void NeighborhoodCache::InvalidateRelation(const SpatialIndex* relation) {
-  DropEntries(relation->instance_id());
+void NeighborhoodCache::LinkChain(Shard& shard, Entry* entry) {
+  Entry*& head = shard.chains[entry->key.relation_id];
+  entry->rel_prev = nullptr;
+  entry->rel_next = head;
+  if (head != nullptr) head->rel_prev = entry;
+  head = entry;
 }
 
-void NeighborhoodCache::RetireRelation(std::uint64_t relation_id) {
+void NeighborhoodCache::UnlinkChain(Shard& shard, Entry* entry) {
+  if (entry->rel_next != nullptr) entry->rel_next->rel_prev = entry->rel_prev;
+  if (entry->rel_prev != nullptr) {
+    entry->rel_prev->rel_next = entry->rel_next;
+  } else if (entry->rel_next != nullptr) {
+    shard.chains[entry->key.relation_id] = entry->rel_next;
+  } else {
+    shard.chains.erase(entry->key.relation_id);
+  }
+}
+
+std::size_t NeighborhoodCache::InvalidateRelation(
+    const SpatialIndex* relation) {
+  return DropEntries(relation->instance_id());
+}
+
+std::size_t NeighborhoodCache::RetireRelation(std::uint64_t relation_id) {
   {
     std::lock_guard<std::mutex> lock(relation_generations_mu_);
     relation_generations_.erase(relation_id);
   }
-  DropEntries(relation_id);
+  return DropEntries(relation_id);
 }
 
-void NeighborhoodCache::DropEntries(std::uint64_t relation_id) {
-  std::uint64_t dropped = 0;
+std::size_t NeighborhoodCache::DropEntries(std::uint64_t relation_id) {
+  std::size_t dropped = 0;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if (it->key.relation_id != relation_id) {
-        ++it;
-        continue;
-      }
-      shard->bytes -= it->bytes;
-      bytes_.fetch_sub(it->bytes, std::memory_order_relaxed);
-      shard->map.erase(it->key);
-      it = shard->lru.erase(it);
+    const auto chain = shard->chains.find(relation_id);
+    if (chain == shard->chains.end()) continue;
+    std::size_t dropped_bytes = 0;
+    for (Entry* entry = chain->second; entry != nullptr;) {
+      Entry* const next = entry->rel_next;
+      dropped_bytes += entry->bytes;
+      const auto node = shard->map.find(entry->key);
+      shard->lru.erase(node->second);
+      shard->map.erase(node);
+      entry = next;
       ++dropped;
     }
+    shard->chains.erase(chain);
+    shard->bytes -= dropped_bytes;
+    bytes_.fetch_sub(dropped_bytes, std::memory_order_relaxed);
   }
   if (dropped > 0) {
     invalidated_.fetch_add(dropped, std::memory_order_relaxed);
   }
+  return dropped;
 }
 
-void NeighborhoodCache::InvalidateIfGenerationChanged(
+std::size_t NeighborhoodCache::InvalidateIfGenerationChanged(
     const SpatialIndex* relation, std::uint64_t generation) {
   {
     std::lock_guard<std::mutex> lock(relation_generations_mu_);
@@ -171,11 +200,11 @@ void NeighborhoodCache::InvalidateIfGenerationChanged(
         relation_generations_.try_emplace(relation->instance_id(),
                                           generation);
     if (!inserted) {
-      if (it->second == generation) return;
+      if (it->second == generation) return 0;
       it->second = generation;
     }
   }
-  InvalidateRelation(relation);
+  return InvalidateRelation(relation);
 }
 
 void NeighborhoodCache::InvalidateIfGenerationChanged(

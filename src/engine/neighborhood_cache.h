@@ -20,6 +20,13 @@
 // byte budget of capacity_bytes / num_shards. Hit/miss/eviction
 // counters are relaxed atomics; exact cross-shard snapshots are not
 // needed, only monotone totals.
+//
+// Invalidation: every shard also threads its entries onto one intrusive
+// chain per relation, headed from a relation id -> entry map. Dropping
+// a relation's entries (the per-write invalidation of ExecuteDml) costs
+// one map probe per shard plus the entries dropped - never a walk over
+// the rest of the cache, which may hold tens of MiB of other relations'
+// neighborhoods.
 
 #ifndef KNNQ_SRC_ENGINE_NEIGHBORHOOD_CACHE_H_
 #define KNNQ_SRC_ENGINE_NEIGHBORHOOD_CACHE_H_
@@ -99,22 +106,26 @@ class NeighborhoodCache {
   /// Drops only the entries cached for `relation`, leaving every other
   /// relation's neighborhoods hot — the point of keying invalidation
   /// per relation instead of nuking the cache on any catalog change.
-  void InvalidateRelation(const SpatialIndex* relation);
+  /// Costs one probe per shard plus the dropped entries. Returns the
+  /// number of entries dropped.
+  std::size_t InvalidateRelation(const SpatialIndex* relation);
 
   /// Drops the entries cached under index instance `relation_id` and
   /// forgets its generation record. For copy-on-write replacement,
   /// where the retired index object may already be destroyed: its
   /// entries are unreachable (the replacement has a fresh instance id)
   /// but would otherwise hold cache bytes until LRU pressure drains
-  /// them.
-  void RetireRelation(std::uint64_t relation_id);
+  /// them. Same cost as InvalidateRelation; returns the number of
+  /// entries dropped.
+  std::size_t RetireRelation(std::uint64_t relation_id);
 
   /// Per-relation generation hook: when `generation` differs from the
   /// last value observed for `relation`, that relation's entries (and
-  /// only those) are dropped. QueryEngine::Mutate calls this with the
-  /// mutated relation's new Catalog generation.
-  void InvalidateIfGenerationChanged(const SpatialIndex* relation,
-                                     std::uint64_t generation);
+  /// only those) are dropped. QueryEngine::ExecuteDml calls this with
+  /// the written relation's new Catalog generation. Returns the number
+  /// of entries dropped (0 when the generation is unchanged).
+  std::size_t InvalidateIfGenerationChanged(const SpatialIndex* relation,
+                                            std::uint64_t generation);
 
   /// Whole-catalog invalidation hook: when `generation` differs from
   /// the last observed catalog-wide value, the cache clears itself
@@ -156,6 +167,13 @@ class NeighborhoodCache {
     Key key;
     Neighborhood neighborhood;
     std::size_t bytes;
+    /// Intrusive links of the shard's chain for key.relation_id.
+    /// std::list nodes never move, so the pointers stay valid until
+    /// the entry is erased (which unlinks it first). Both pointers are
+    /// part of sizeof(Entry) and so charged by EntryCost: the byte
+    /// budget still bounds the cache's footprint.
+    Entry* rel_prev = nullptr;
+    Entry* rel_next = nullptr;
   };
 
   /// One lock domain. LRU list front = most recently used.
@@ -163,15 +181,28 @@ class NeighborhoodCache {
     mutable std::mutex mu;
     std::list<Entry> lru;
     std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map;
+    /// relation id -> head of that relation's entry chain. Holds a key
+    /// only while the chain is non-empty, so its few nodes (one per
+    /// relation with live entries here) are left out of the budget.
+    std::unordered_map<std::uint64_t, Entry*> chains;
     std::size_t bytes = 0;
   };
 
   static Key MakeKey(const SpatialIndex* relation, const Point& query,
                      std::size_t k);
 
-  /// Drops every entry keyed under `relation_id` (generation records
-  /// are left alone — only RetireRelation forgets those).
-  void DropEntries(std::uint64_t relation_id);
+  /// Drops every entry keyed under `relation_id` by walking that
+  /// relation's chain in each shard, and returns how many it dropped
+  /// (generation records are left alone — only RetireRelation forgets
+  /// those).
+  std::size_t DropEntries(std::uint64_t relation_id);
+
+  /// Links `entry` at the head of its relation's chain in `shard`.
+  static void LinkChain(Shard& shard, Entry* entry);
+
+  /// Unlinks `entry` from its relation's chain in `shard`, dropping
+  /// the chain's map key when it empties.
+  static void UnlinkChain(Shard& shard, Entry* entry);
 
   /// Approximate heap charge of one entry (list node + map node + the
   /// neighborhood's own allocation).

@@ -410,8 +410,9 @@ EngineResult QueryEngine::ExecuteDmlLegacy(DmlRequest& request) {
       // the cache with whatever generation the relation is at now.
       if (cache_ != nullptr && request.kind == DmlRequest::Kind::kMutate) {
         if (auto rel = catalog_.Get(request.relation); rel.ok()) {
-          cache_->InvalidateIfGenerationChanged((*rel)->index.get(),
-                                                (*rel)->generation);
+          span.Count("cache_invalidated",
+                     cache_->InvalidateIfGenerationChanged(
+                         (*rel)->index.get(), (*rel)->generation));
         }
       }
       result.status = outcome.status();
@@ -421,8 +422,9 @@ EngineResult QueryEngine::ExecuteDmlLegacy(DmlRequest& request) {
       return result;
     }
     if (cache_ != nullptr) {
-      cache_->InvalidateIfGenerationChanged(outcome->index,
-                                            outcome->generation);
+      span.Count("cache_invalidated",
+                 cache_->InvalidateIfGenerationChanged(outcome->index,
+                                                       outcome->generation));
     }
     result.rows_affected = outcome->rows_affected;
     result.explain = MutationSummary(

@@ -1,5 +1,6 @@
 #include "src/index/spatial_index.h"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -130,17 +131,18 @@ bool SpatialIndex::ColumnsConsistent() const {
 
 bool SpatialIndex::FindPoint(PointId id, BlockId* block,
                              std::size_t* pos) const {
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    if (points_[i].id != id) continue;
-    for (std::size_t b = 0; b < blocks_.size(); ++b) {
-      if (i >= blocks_[b].begin && i < blocks_[b].end) {
-        *block = static_cast<BlockId>(b);
-        *pos = i;
-        return true;
-      }
+  KNNQ_DCHECK(ids_.size() == points_.size());
+  const auto match = std::find(ids_.begin(), ids_.end(), id);
+  if (match == ids_.end()) return false;
+  const auto i = static_cast<std::size_t>(match - ids_.begin());
+  for (std::size_t b = 0; b < blocks_.size(); ++b) {
+    if (i >= blocks_[b].begin && i < blocks_[b].end) {
+      *block = static_cast<BlockId>(b);
+      *pos = i;
+      return true;
     }
-    KNNQ_CHECK_MSG(false, "indexed point belongs to no block span");
   }
+  KNNQ_CHECK_MSG(false, "indexed point belongs to no block span");
   return false;
 }
 

@@ -254,7 +254,11 @@ class SpatialIndex {
   void RemoveSpan(BlockId b);
 
   /// Finds the first indexed point with id `id`. On success fills
-  /// `*block` / `*pos` (absolute position) and returns true.
+  /// `*block` / `*pos` (absolute position) and returns true. Scans the
+  /// 8-byte ids_ column, not the 24-byte points_, so it must not run
+  /// between a points_ permutation and its SyncColumnsRange; its
+  /// callers (Erase entry points, HasPoint, shard routing) all run
+  /// between mutations, where the columns mirror points_.
   bool FindPoint(PointId id, BlockId* block, std::size_t* pos) const;
 
   /// Rebuilds the SoA columns from points_ wholesale. Build paths call

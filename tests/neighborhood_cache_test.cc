@@ -1,17 +1,26 @@
 // NeighborhoodCache tests: hit/miss accounting, LRU capacity
 // eviction, cross-index-structure determinism of cached values,
-// catalog-generation invalidation, and the engine-level guarantee the
-// whole subsystem exists to preserve - a multi-threaded cached
-// RunBatch returns results byte-identical to uncached serial
+// catalog-generation invalidation, the per-relation invalidation
+// chains (against a plain LRU model, and racing concurrent probes),
+// the write span's cache_invalidated count, and the engine-level
+// guarantee the whole subsystem exists to preserve - a multi-threaded
+// cached RunBatch returns results byte-identical to uncached serial
 // execution over all six query shapes and all three index structures.
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <list>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/engine/neighborhood_cache.h"
 #include "src/engine/query_engine.h"
+#include "src/obs/trace.h"
 #include "tests/test_util.h"
 
 namespace knnq {
@@ -223,6 +232,305 @@ TEST(NeighborhoodCacheTest, PerRelationInvalidationDropsOnlyThatRelation) {
   EXPECT_EQ(cache.GetStats().entries, 1u);
 }
 
+// --- Per-relation invalidation chains ---
+//
+// The cases below insert synthetic neighborhoods directly: the cache
+// never inspects their contents, and a fixed shape gives every entry
+// the same byte charge, so `bytes` can be checked exactly.
+
+/// A k-entry neighborhood whose contents name its key, so a Lookup can
+/// tell which entry answered.
+Neighborhood FakeNeighborhood(std::size_t relation, std::size_t query,
+                              std::size_t k) {
+  Neighborhood neighborhood(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    neighborhood[i].point.id =
+        static_cast<PointId>(relation * 100000 + query * 100 + k);
+    neighborhood[i].dist = static_cast<double>(i);
+  }
+  return neighborhood;
+}
+
+Point FakeQuery(std::size_t query) {
+  return Point{.id = -1,
+               .x = static_cast<double>(query * 10),
+               .y = static_cast<double>(query * 7)};
+}
+
+/// The byte charge of one FakeNeighborhood entry of size `k`, read off
+/// a fresh cache.
+std::size_t FakeEntryCost(std::size_t k) {
+  const auto index = MakeIndex(MakeUniform(10, 1));
+  NeighborhoodCache probe;
+  probe.Insert(index.get(), FakeQuery(0), k, FakeNeighborhood(0, 0, k));
+  return probe.GetStats().bytes;
+}
+
+/// Small relations whose index objects give the cache distinct ids.
+std::vector<std::unique_ptr<SpatialIndex>> MakeRelations(std::size_t n) {
+  std::vector<std::unique_ptr<SpatialIndex>> relations;
+  for (std::size_t r = 0; r < n; ++r) {
+    relations.push_back(MakeIndex(MakeUniform(10, 50 + r)));
+  }
+  return relations;
+}
+
+void ExpectFootprint(const NeighborhoodCache& cache, std::size_t entries,
+                     std::size_t entry_cost, std::uint64_t invalidated) {
+  const NeighborhoodCacheStats stats = cache.GetStats();
+  EXPECT_EQ(stats.entries, entries);
+  EXPECT_EQ(stats.bytes, entries * entry_cost);
+  EXPECT_EQ(cache.size_bytes(), entries * entry_cost);
+  EXPECT_EQ(stats.invalidated, invalidated);
+}
+
+TEST(NeighborhoodCacheChainTest, EvictionThenInvalidationDropsRemainder) {
+  constexpr std::size_t kK = 4;
+  const std::size_t cost = FakeEntryCost(kK);
+  for (const bool retire : {false, true}) {
+    SCOPED_TRACE(retire ? "RetireRelation" : "InvalidateRelation");
+    const auto relations = MakeRelations(3);
+    const SpatialIndex* a = relations[0].get();
+    const SpatialIndex* b = relations[1].get();
+    const SpatialIndex* c = relations[2].get();
+    // One shard holding exactly ten entries.
+    NeighborhoodCache cache(SmallCache(10 * cost));
+    for (std::size_t q = 0; q < 5; ++q) {
+      cache.Insert(a, FakeQuery(q), kK, FakeNeighborhood(0, q, kK));
+    }
+    for (std::size_t q = 0; q < 5; ++q) {
+      cache.Insert(b, FakeQuery(q), kK, FakeNeighborhood(1, q, kK));
+    }
+    ExpectFootprint(cache, 10, cost, 0);
+
+    // A's chain runs A4 (head, newest) .. A0 (tail). Refresh every
+    // entry but A4, A2 and A0, so those three are the LRU victims.
+    Neighborhood out;
+    for (const std::size_t q : {1, 3}) {
+      ASSERT_TRUE(cache.Lookup(a, FakeQuery(q), kK, &out));
+    }
+    for (std::size_t q = 0; q < 5; ++q) {
+      ASSERT_TRUE(cache.Lookup(b, FakeQuery(q), kK, &out));
+    }
+    for (std::size_t q = 0; q < 3; ++q) {
+      cache.Insert(c, FakeQuery(q), kK, FakeNeighborhood(2, q, kK));
+    }
+    EXPECT_EQ(cache.GetStats().evictions, 3u);
+    ExpectFootprint(cache, 10, cost, 0);
+    for (const std::size_t q : {0, 2, 4}) {
+      EXPECT_FALSE(cache.Lookup(a, FakeQuery(q), kK, &out)) << q;
+    }
+
+    // Tail, middle and head were unlinked; the rest of the chain holds
+    // exactly A1 and A3.
+    if (retire) {
+      EXPECT_EQ(cache.RetireRelation(a->instance_id()), 2u);
+    } else {
+      EXPECT_EQ(cache.InvalidateRelation(a), 2u);
+    }
+    ExpectFootprint(cache, 8, cost, 2);
+    for (const std::size_t q : {1, 3}) {
+      EXPECT_FALSE(cache.Lookup(a, FakeQuery(q), kK, &out)) << q;
+    }
+    for (std::size_t q = 0; q < 5; ++q) {
+      ASSERT_TRUE(cache.Lookup(b, FakeQuery(q), kK, &out));
+      EXPECT_EQ(out, FakeNeighborhood(1, q, kK));
+    }
+    for (std::size_t q = 0; q < 3; ++q) {
+      ASSERT_TRUE(cache.Lookup(c, FakeQuery(q), kK, &out));
+      EXPECT_EQ(out, FakeNeighborhood(2, q, kK));
+    }
+    // A second drop finds no chain.
+    EXPECT_EQ(cache.InvalidateRelation(a), 0u);
+    ExpectFootprint(cache, 8, cost, 2);
+  }
+}
+
+TEST(NeighborhoodCacheChainTest, ClearResetsChains) {
+  constexpr std::size_t kK = 3;
+  const std::size_t cost = FakeEntryCost(kK);
+  const auto relations = MakeRelations(2);
+  const SpatialIndex* a = relations[0].get();
+  const SpatialIndex* b = relations[1].get();
+  NeighborhoodCache cache(SmallCache(1 << 20, 4));
+  for (std::size_t q = 0; q < 6; ++q) {
+    cache.Insert(a, FakeQuery(q), kK, FakeNeighborhood(0, q, kK));
+  }
+  for (std::size_t q = 0; q < 3; ++q) {
+    cache.Insert(b, FakeQuery(q), kK, FakeNeighborhood(1, q, kK));
+  }
+  ExpectFootprint(cache, 9, cost, 0);
+
+  cache.Clear();
+  ExpectFootprint(cache, 0, cost, 0);
+  EXPECT_EQ(cache.InvalidateRelation(a), 0u);
+
+  // Re-inserting the same keys builds fresh chains; invalidating A
+  // drops exactly its new entries.
+  for (std::size_t q = 0; q < 4; ++q) {
+    cache.Insert(a, FakeQuery(q), kK, FakeNeighborhood(0, q, kK));
+  }
+  cache.Insert(b, FakeQuery(0), kK, FakeNeighborhood(1, 0, kK));
+  ExpectFootprint(cache, 5, cost, 0);
+  EXPECT_EQ(cache.InvalidateRelation(a), 4u);
+  ExpectFootprint(cache, 1, cost, 4);
+  EXPECT_EQ(cache.RetireRelation(b->instance_id()), 1u);
+  ExpectFootprint(cache, 0, cost, 5);
+}
+
+TEST(NeighborhoodCacheChainTest, RandomizedDifferentialAgainstPlainLru) {
+  // A plain single-list LRU with the same byte budget is the
+  // reference: one cache shard behaves exactly like it, and so must
+  // every entries/bytes/evictions/invalidated figure after each step.
+  constexpr std::size_t kRelations = 4;
+  constexpr std::size_t kQueries = 6;
+  constexpr std::size_t kMaxK = 3;
+  std::vector<std::size_t> cost_of(kMaxK + 1);
+  for (std::size_t k = 1; k <= kMaxK; ++k) cost_of[k] = FakeEntryCost(k);
+  const std::size_t capacity = 9 * cost_of[2];
+
+  struct ModelEntry {
+    std::size_t relation, query, k, cost;
+  };
+  const auto relations = MakeRelations(kRelations);
+  NeighborhoodCache cache(SmallCache(capacity));
+  std::list<ModelEntry> model;  // Front = most recently used.
+  std::size_t model_bytes = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t invalidated = 0;
+  std::uint64_t hits = 0;
+  const auto find = [&](std::size_t r, std::size_t q, std::size_t k) {
+    return std::find_if(model.begin(), model.end(), [&](const ModelEntry& e) {
+      return e.relation == r && e.query == q && e.k == k;
+    });
+  };
+  const auto drop_relation = [&](std::size_t r) {
+    std::size_t dropped = 0;
+    for (auto it = model.begin(); it != model.end();) {
+      if (it->relation != r) {
+        ++it;
+        continue;
+      }
+      model_bytes -= it->cost;
+      it = model.erase(it);
+      ++dropped;
+    }
+    invalidated += dropped;
+    return dropped;
+  };
+
+  Rng rng(2024);
+  for (int step = 0; step < 4000; ++step) {
+    const std::size_t r = rng.NextIndex(kRelations);
+    const std::size_t q = rng.NextIndex(kQueries);
+    const std::size_t k = 1 + rng.NextIndex(kMaxK);
+    const SpatialIndex* relation = relations[r].get();
+    const std::uint64_t op = rng.NextIndex(100);
+    if (op < 45) {
+      Neighborhood out;
+      const auto it = find(r, q, k);
+      const bool hit = cache.Lookup(relation, FakeQuery(q), k, &out);
+      ASSERT_EQ(hit, it != model.end()) << "step " << step;
+      if (hit) {
+        ASSERT_EQ(out, FakeNeighborhood(r, q, k)) << "step " << step;
+        model.splice(model.begin(), model, it);
+        ++hits;
+      }
+    } else if (op < 90) {
+      cache.Insert(relation, FakeQuery(q), k, FakeNeighborhood(r, q, k));
+      if (const auto it = find(r, q, k); it != model.end()) {
+        model.splice(model.begin(), model, it);
+      } else {
+        while (model_bytes + cost_of[k] > capacity && !model.empty()) {
+          model_bytes -= model.back().cost;
+          model.pop_back();
+          ++evictions;
+        }
+        model.push_front(ModelEntry{r, q, k, cost_of[k]});
+        model_bytes += cost_of[k];
+      }
+    } else if (op < 95) {
+      const std::size_t expected = drop_relation(r);
+      ASSERT_EQ(cache.InvalidateRelation(relation), expected)
+          << "step " << step;
+    } else if (op < 99) {
+      const std::size_t expected = drop_relation(r);
+      ASSERT_EQ(cache.RetireRelation(relation->instance_id()), expected)
+          << "step " << step;
+    } else {
+      cache.Clear();
+      model.clear();
+      model_bytes = 0;
+    }
+    const NeighborhoodCacheStats stats = cache.GetStats();
+    ASSERT_EQ(stats.entries, model.size()) << "step " << step;
+    ASSERT_EQ(stats.bytes, model_bytes) << "step " << step;
+    ASSERT_EQ(cache.size_bytes(), model_bytes) << "step " << step;
+    ASSERT_EQ(stats.evictions, evictions) << "step " << step;
+    ASSERT_EQ(stats.invalidated, invalidated) << "step " << step;
+    ASSERT_EQ(stats.hits, hits) << "step " << step;
+  }
+  // The run exercised every path it is meant to compare.
+  EXPECT_GT(evictions, 100u);
+  EXPECT_GT(invalidated, 100u);
+  EXPECT_GT(hits, 100u);
+}
+
+TEST(NeighborhoodCacheChainTest, ConcurrentInsertLookupRaceInvalidation) {
+  // Two threads insert and look up relation A while a third fills B
+  // and invalidates B and A. Every hit must return its own key's
+  // value, and the invalidation counts must add up exactly. Run under
+  // TSan for the locking and ASan for dangling chain pointers.
+  constexpr std::size_t kK = 2;
+  constexpr std::size_t kQueries = 64;
+  const std::size_t cost = FakeEntryCost(kK);
+  const auto relations = MakeRelations(2);
+  const SpatialIndex* a = relations[0].get();
+  const SpatialIndex* b = relations[1].get();
+  NeighborhoodCache cache(SmallCache(1 << 20, 8));
+
+  std::atomic<int> readers_running{2};
+  std::atomic<std::uint64_t> wrong_values{0};
+  const auto reader = [&](std::uint64_t seed) {
+    Rng rng(seed);
+    for (int i = 0; i < 20000; ++i) {
+      const std::size_t q = rng.NextIndex(kQueries);
+      Neighborhood out;
+      if (cache.Lookup(a, FakeQuery(q), kK, &out)) {
+        if (out != FakeNeighborhood(0, q, kK)) wrong_values.fetch_add(1);
+      } else {
+        cache.Insert(a, FakeQuery(q), kK, FakeNeighborhood(0, q, kK));
+      }
+    }
+    readers_running.fetch_sub(1);
+  };
+  std::thread reader1(reader, 1);
+  std::thread reader2(reader, 2);
+
+  std::uint64_t dropped = 0;
+  for (int round = 0; readers_running.load() > 0; ++round) {
+    for (std::size_t q = 0; q < 16; ++q) {
+      cache.Insert(b, FakeQuery(q), kK, FakeNeighborhood(1, q, kK));
+    }
+    dropped += cache.InvalidateRelation(b);
+    if (round % 2 == 0) {
+      dropped += cache.InvalidateRelation(a);
+    } else {
+      dropped += cache.RetireRelation(a->instance_id());
+    }
+  }
+  reader1.join();
+  reader2.join();
+
+  EXPECT_EQ(wrong_values.load(), 0u);
+  const NeighborhoodCacheStats live = cache.GetStats();
+  ExpectFootprint(cache, live.entries, cost, dropped);
+  // Whatever the readers left is A's alone, and one drop clears it.
+  EXPECT_EQ(cache.InvalidateRelation(b), 0u);
+  EXPECT_EQ(cache.InvalidateRelation(a), live.entries);
+  ExpectFootprint(cache, 0, cost, dropped + live.entries);
+}
+
 // --- Engine-level equivalence: the acceptance bar of this subsystem ---
 
 Catalog MakeCatalog(IndexType type) {
@@ -369,6 +677,48 @@ TEST(CachedEngineTest, StatsAndExplainSurfaceCacheCounters) {
   EXPECT_NE(warm.explain.find("cache_hits="), std::string::npos)
       << warm.explain;
   EXPECT_TRUE(warm.output == cold.output);
+}
+
+TEST(CachedEngineTest, WriteSpanCountsInvalidatedEntries) {
+  EngineOptions options;
+  options.num_threads = 1;
+  options.planner.cache_mb = 8;
+  QueryEngine engine(MakeCatalog(IndexType::kGrid), options);
+  NeighborhoodCache& cache = *engine.neighborhood_cache();
+  for (std::size_t k = 1; k <= 3; ++k) {
+    const TwoSelectsSpec spec{
+        .relation = "city",
+        .s1 = {.focal = {.id = -1, .x = 500, .y = 400}, .k = k},
+        .s2 = {.focal = {.id = -1, .x = 520, .y = 410}, .k = k + 4},
+    };
+    ASSERT_TRUE(engine.Run(spec).ok());
+  }
+
+  // Writes a row and returns the dml_apply span's cache_invalidated.
+  const auto traced_write = [&](const std::string& relation) {
+    obs::TraceContext trace;
+    {
+      obs::TraceScope scope(&trace);
+      const EngineResult written = engine.ExecuteDml(
+          DmlRequest::MutateOps(relation, {MutationOp::Insert(10, 10)}));
+      EXPECT_TRUE(written.ok()) << written.status.ToString();
+    }
+    trace.Finish();
+    return obs::SumCounter(trace.root(), "cache_invalidated");
+  };
+
+  // A write to a relation no cached probe refers to drops nothing.
+  const NeighborhoodCacheStats before = cache.GetStats();
+  ASSERT_GT(before.entries, 0u);
+  EXPECT_EQ(traced_write("uniform"), 0u);
+  EXPECT_EQ(cache.GetStats().entries, before.entries);
+
+  // A write to `city` drops every cached city entry, and the span
+  // says how many.
+  EXPECT_EQ(traced_write("city"), before.entries);
+  const NeighborhoodCacheStats after = cache.GetStats();
+  EXPECT_EQ(after.entries, 0u);
+  EXPECT_EQ(after.invalidated - before.invalidated, before.entries);
 }
 
 }  // namespace
