@@ -19,8 +19,12 @@ namespace knnq {
 
 /// Execution counters of one evaluator call (or, merged, one batch).
 struct ExecStats {
-  /// Index blocks popped from block scans: locality construction plus
-  /// the direct pruning scans of Counting and Block-Marking.
+  /// Index blocks visited: those popped from block scans (locality
+  /// construction, Block-Marking's preprocessing) plus, for Counting,
+  /// the blocks its pruning probe (SpatialIndex::CountWithinMaxDist)
+  /// computed a MAXDIST for. The probe replaced a heap-ordered scan
+  /// whose pops were counted, so Counting's values differ from
+  /// releases before the probe.
   std::size_t blocks_scanned = 0;
   /// Locality blocks skipped wholesale because their MINDIST exceeded
   /// the running k-th distance (bound-based block skipping).

@@ -65,26 +65,17 @@ Result<JoinResult> RangeSelectInnerJoinCounting(
 
   CachingKnnSearcher inner_searcher(*query.inner, shared_cache);
   JoinResult pairs;
-  std::size_t counting_blocks = 0;  // Blocks popped by the pruning scan.
+  std::size_t counting_blocks = 0;  // Blocks the pruning probe examined.
   {
     PhaseSpan phase("join_probe", &inner_searcher.stats());
     for (const Point& e1 : query.outer->points()) {
       // Every rectangle point is at distance >= MINDIST(e1, rect);
       // points in blocks strictly closer displace all of them from e1's
-      // neighborhood once more than join_k accumulate.
+      // neighborhood once more than join_k accumulate. e1 inside the
+      // rectangle has threshold 0, counts nothing and never prunes.
       const double threshold = query.range.MinDist(e1);
-      std::size_t count = 0;
-      if (threshold > 0.0) {  // e1 inside the rectangle never prunes.
-        auto scan = query.inner->NewScan(e1, ScanOrder::kMaxDist);
-        double max_dist = 0.0;
-        while (count <= query.join_k && scan->HasNext()) {
-          const BlockId id = scan->Next(&max_dist);
-          ++counting_blocks;
-          if (max_dist >= threshold) break;
-          count += query.inner->block(id).count();
-        }
-      }
-      if (count > query.join_k) {
+      if (query.inner->CountWithinMaxDist(e1, threshold, query.join_k,
+                                          &counting_blocks) > query.join_k) {
         ++stats->pruned_points;
         continue;
       }

@@ -119,7 +119,7 @@ Result<JoinResult> SelectInnerJoinCounting(const SelectInnerJoinQuery& query,
     return pairs;
   }
 
-  std::size_t counting_blocks = 0;  // Blocks popped by the pruning scan.
+  std::size_t counting_blocks = 0;  // Blocks the pruning probe examined.
   const NeighborhoodColumns nbr_f_cols(nbr_f);
   {
     PhaseSpan phase("join_probe", &inner_searcher.stats());
@@ -127,19 +127,11 @@ Result<JoinResult> SelectInnerJoinCounting(const SelectInnerJoinQuery& query,
       // Procedure 1: points in inner blocks certainly closer to e1 than
       // the nearest focal neighbor displace every focal neighbor from
       // e1's k-neighborhood once there are more than join_k of them.
+      // Only blocks whose MAXDIST is strictly below the threshold count
+      // (DESIGN.md note 1).
       const double threshold = NearestMemberDistance(e1, nbr_f_cols);
-      std::size_t count = 0;
-      auto scan = query.inner->NewScan(e1, ScanOrder::kMaxDist);
-      double max_dist = 0.0;
-      while (count <= query.join_k && scan->HasNext()) {
-        const BlockId id = scan->Next(&max_dist);
-        ++counting_blocks;
-        // Strict comparison: only blocks whose every point is strictly
-        // within the threshold may count (DESIGN.md note 1).
-        if (max_dist >= threshold) break;
-        count += query.inner->block(id).count();
-      }
-      if (count > query.join_k) {
+      if (query.inner->CountWithinMaxDist(e1, threshold, query.join_k,
+                                          &counting_blocks) > query.join_k) {
         ++stats->pruned_points;
         continue;
       }

@@ -4,6 +4,15 @@
 
 namespace knnq {
 
+std::size_t DynamicTreeIndex::CountWithinMaxDist(
+    const Point& query, double threshold, std::size_t limit,
+    std::size_t* blocks_examined) const {
+  return CountTreeWithinMaxDist(nodes_,
+                                root_ == kNoNode ? nodes_.size() : root_,
+                                blocks_, query, threshold, limit,
+                                blocks_examined);
+}
+
 void DynamicTreeIndex::RefreshTreeLinks() {
   parent_.assign(nodes_.size(), kNoNode);
   block_node_.assign(blocks_.size(), kNoNode);

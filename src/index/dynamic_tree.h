@@ -34,6 +34,12 @@ namespace knnq {
 /// Base of the two hierarchical indexes; owns the CSR node array and
 /// the link-consistency helpers mutation needs.
 class DynamicTreeIndex : public SpatialIndex {
+ public:
+  /// One descent shared by both trees (CountTreeWithinMaxDist).
+  std::size_t CountWithinMaxDist(const Point& query, double threshold,
+                                 std::size_t limit,
+                                 std::size_t* blocks_examined) const override;
+
  protected:
   static constexpr std::uint32_t kNoNode = static_cast<std::uint32_t>(-1);
 

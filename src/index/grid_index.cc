@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <queue>
 #include <utility>
 
@@ -22,6 +23,42 @@ struct ScanEntry {
     return a.block > b.block;
   }
 };
+
+/// Calls `visit(x, y)` for every in-grid cell at Chebyshev distance
+/// `ring` (in cell units) from cell (cell_i, cell_j). Stops early,
+/// returning true, as soon as `visit` returns true.
+template <typename Visit>
+bool ForEachRingCell(std::size_t cell_i, std::size_t cell_j, std::size_t ncols,
+                     std::size_t nrows, std::size_t ring, Visit visit) {
+  const auto ci = static_cast<std::ptrdiff_t>(cell_i);
+  const auto cj = static_cast<std::ptrdiff_t>(cell_j);
+  const auto cols = static_cast<std::ptrdiff_t>(ncols);
+  const auto rows = static_cast<std::ptrdiff_t>(nrows);
+  const auto r = static_cast<std::ptrdiff_t>(ring);
+  const auto cell = [&](std::ptrdiff_t x, std::ptrdiff_t y) {
+    return visit(static_cast<std::size_t>(x), static_cast<std::size_t>(y));
+  };
+  if (r == 0) return cell(ci, cj);
+  const std::ptrdiff_t x_lo = std::max<std::ptrdiff_t>(ci - r, 0);
+  const std::ptrdiff_t x_hi = std::min<std::ptrdiff_t>(ci + r, cols - 1);
+  // Top and bottom rows of the ring (full width).
+  for (const std::ptrdiff_t y : {cj - r, cj + r}) {
+    if (y < 0 || y >= rows) continue;
+    for (std::ptrdiff_t x = x_lo; x <= x_hi; ++x) {
+      if (cell(x, y)) return true;
+    }
+  }
+  // Left and right columns, excluding the corners already visited.
+  const std::ptrdiff_t y_lo = std::max<std::ptrdiff_t>(cj - r + 1, 0);
+  const std::ptrdiff_t y_hi = std::min<std::ptrdiff_t>(cj + r - 1, rows - 1);
+  for (const std::ptrdiff_t x : {ci - r, ci + r}) {
+    if (x < 0 || x >= cols) continue;
+    for (std::ptrdiff_t y = y_lo; y <= y_hi; ++y) {
+      if (cell(x, y)) return true;
+    }
+  }
+  return false;
+}
 
 }  // namespace
 
@@ -96,32 +133,12 @@ class GridBlockScan final : public BlockScan {
   }
 
   void ExpandRing(std::ptrdiff_t r) {
-    const std::ptrdiff_t ci = static_cast<std::ptrdiff_t>(ci_);
-    const std::ptrdiff_t cj = static_cast<std::ptrdiff_t>(cj_);
-    const std::ptrdiff_t cols = static_cast<std::ptrdiff_t>(grid_.cols_);
-    const std::ptrdiff_t rows = static_cast<std::ptrdiff_t>(grid_.rows_);
-    if (r == 0) {
-      PushCell(ci_, cj_);
-      return;
-    }
-    const std::ptrdiff_t x_lo = std::max<std::ptrdiff_t>(ci - r, 0);
-    const std::ptrdiff_t x_hi = std::min<std::ptrdiff_t>(ci + r, cols - 1);
-    // Top and bottom rows of the ring (full width).
-    for (const std::ptrdiff_t y : {cj - r, cj + r}) {
-      if (y < 0 || y >= rows) continue;
-      for (std::ptrdiff_t x = x_lo; x <= x_hi; ++x) {
-        PushCell(static_cast<std::size_t>(x), static_cast<std::size_t>(y));
-      }
-    }
-    // Left and right columns, excluding the corners already pushed.
-    const std::ptrdiff_t y_lo = std::max<std::ptrdiff_t>(cj - r + 1, 0);
-    const std::ptrdiff_t y_hi = std::min<std::ptrdiff_t>(cj + r - 1, rows - 1);
-    for (const std::ptrdiff_t x : {ci - r, ci + r}) {
-      if (x < 0 || x >= cols) continue;
-      for (std::ptrdiff_t y = y_lo; y <= y_hi; ++y) {
-        PushCell(static_cast<std::size_t>(x), static_cast<std::size_t>(y));
-      }
-    }
+    ForEachRingCell(ci_, cj_, grid_.cols_, grid_.rows_,
+                    static_cast<std::size_t>(r),
+                    [this](std::size_t x, std::size_t y) {
+                      PushCell(x, y);
+                      return false;
+                    });
   }
 
   const GridIndex& grid_;
@@ -327,9 +344,57 @@ void GridIndex::CellOf(double x, double y, std::size_t* ci,
 }
 
 BoundingBox GridIndex::CellBox(std::size_t ci, std::size_t cj) const {
-  const double x0 = bounds_.min_x() + static_cast<double>(ci) * cell_w_;
-  const double y0 = bounds_.min_y() + static_cast<double>(cj) * cell_h_;
+  const double x0 = ColumnMinX(ci);
+  const double y0 = RowMinY(cj);
   return BoundingBox(x0, y0, x0 + cell_w_, y0 + cell_h_);
+}
+
+double GridIndex::RingMaxDistBound(const Point& q, std::size_t ci,
+                                   std::size_t cj, std::size_t r) const {
+  // Every cell of ring r lies in column ci +- r or row cj +- r, and its
+  // block box contains its CellBox. So its MAXDIST is at least the
+  // distance from q to that column's (row's) far edge, computed with
+  // CellBox's own arithmetic. Floating-point subtraction, squaring and
+  // sqrt are monotone (and sqrt(fl(a * a)) == a), so the computed
+  // MaxDist of the block is >= the computed side value.
+  double bound = std::numeric_limits<double>::infinity();
+  if (ci + r < cols_) {
+    bound = std::min(bound, ColumnMinX(ci + r) + cell_w_ - q.x);
+  }
+  if (ci >= r) bound = std::min(bound, q.x - ColumnMinX(ci - r));
+  if (cj + r < rows_) {
+    bound = std::min(bound, RowMinY(cj + r) + cell_h_ - q.y);
+  }
+  if (cj >= r) bound = std::min(bound, q.y - RowMinY(cj - r));
+  return bound;
+}
+
+std::size_t GridIndex::CountWithinMaxDist(const Point& query,
+                                          double threshold, std::size_t limit,
+                                          std::size_t* blocks_examined) const {
+  if (num_blocks() == 0 || !(threshold > 0.0)) return 0;
+  std::size_t ci, cj;
+  CellOf(query.x, query.y, &ci, &cj);
+  std::size_t count = 0;
+  std::size_t examined = 0;
+  const auto visit = [&](std::size_t x, std::size_t y) {
+    const BlockId id = CellBlock(x, y);
+    if (id == kInvalidBlockId) return false;
+    ++examined;
+    const Block& b = blocks_[id];
+    if (b.box.MaxDist(query) < threshold) count += b.count();
+    return count > limit;
+  };
+  // Ring bounds are non-decreasing in r (each side's far edge moves
+  // out, sides only drop off the grid), so the first ring bounded at
+  // or past the threshold ends the walk; a ring with no cells is
+  // bounded by +inf.
+  for (std::size_t r = 0;
+       r == 0 || RingMaxDistBound(query, ci, cj, r) < threshold; ++r) {
+    if (ForEachRingCell(ci, cj, cols_, rows_, r, visit)) break;
+  }
+  *blocks_examined += examined;
+  return count;
 }
 
 BlockId GridIndex::Locate(const Point& p) const {

@@ -7,9 +7,10 @@
 // and cells stay roughly square. Only non-empty cells become blocks.
 //
 // Block scans use an incremental ring expansion around the query cell
-// rather than heapifying every block, so starting a scan is O(1); the
-// Counting algorithm (Procedure 1) relies on this to scan a handful of
-// blocks per outer tuple.
+// rather than heapifying every block, so starting a scan is O(1). The
+// Counting algorithm's probe (CountWithinMaxDist) walks the same rings
+// without a heap, stopping at the first ring that lies wholly beyond
+// its threshold.
 
 #ifndef KNNQ_SRC_INDEX_GRID_INDEX_H_
 #define KNNQ_SRC_INDEX_GRID_INDEX_H_
@@ -50,6 +51,9 @@ class GridIndex final : public SpatialIndex {
   BlockId Locate(const Point& p) const override;
   std::unique_ptr<BlockScan> NewScan(const Point& query,
                                      ScanOrder order) const override;
+  std::size_t CountWithinMaxDist(const Point& query, double threshold,
+                                 std::size_t limit,
+                                 std::size_t* blocks_examined) const override;
   std::string Describe() const override;
   IndexType type() const override { return IndexType::kGrid; }
   std::unique_ptr<SpatialIndex> Clone() const override {
@@ -74,8 +78,23 @@ class GridIndex final : public SpatialIndex {
   /// Cell coordinates of an arbitrary location, clamped into the grid.
   void CellOf(double x, double y, std::size_t* ci, std::size_t* cj) const;
 
+  /// Left edge of column ci / bottom edge of row cj: the arithmetic
+  /// CellBox builds cell regions with.
+  double ColumnMinX(std::size_t ci) const {
+    return bounds_.min_x() + static_cast<double>(ci) * cell_w_;
+  }
+  double RowMinY(std::size_t cj) const {
+    return bounds_.min_y() + static_cast<double>(cj) * cell_h_;
+  }
+
   /// Region box of cell (ci, cj).
   BoundingBox CellBox(std::size_t ci, std::size_t cj) const;
+
+  /// Lower bound on the computed MAXDIST from `q` of every block in
+  /// ring `r` >= 1 around cell (ci, cj); +inf when the ring has no
+  /// cell inside the grid.
+  double RingMaxDistBound(const Point& q, std::size_t ci, std::size_t cj,
+                          std::size_t r) const;
 
   /// blocks_ index of cell (ci, cj), or kInvalidBlockId if empty.
   BlockId CellBlock(std::size_t ci, std::size_t cj) const {

@@ -310,6 +310,25 @@ std::unique_ptr<BlockScan> ShardedIndex::NewScan(const Point& query,
                                             order);
 }
 
+std::size_t ShardedIndex::CountWithinMaxDist(
+    const Point& query, double threshold, std::size_t limit,
+    std::size_t* blocks_examined) const {
+  // The home shard holds the blocks nearest the query, so a count that
+  // exceeds the limit usually does so there and skips the rest.
+  const std::size_t home = RouteShard(query);
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < children_.size() && count <= limit; ++i) {
+    const std::size_t s = (home + i) % children_.size();
+    if (children_[s]->num_blocks() == 0 ||
+        shard_scan_bounds_[s].MinDist(query) >= threshold) {
+      continue;
+    }
+    count += children_[s]->CountWithinMaxDist(query, threshold, limit - count,
+                                              blocks_examined);
+  }
+  return count;
+}
+
 std::string ShardedIndex::Describe() const {
   return "sharded x" + std::to_string(num_shards()) + " (" +
          ToString(partition_->policy) + ") over " + ToString(child_type_) +

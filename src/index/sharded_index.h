@@ -110,6 +110,12 @@ class ShardedIndex final : public SpatialIndex {
   BlockId Locate(const Point& p) const override;
   std::unique_ptr<BlockScan> NewScan(const Point& query,
                                      ScanOrder order) const override;
+  /// Sums the children's counts, the home shard of `query` first, each
+  /// with the limit left over; skips shards whose ShardScanBounds lie
+  /// at MINDIST >= threshold.
+  std::size_t CountWithinMaxDist(const Point& query, double threshold,
+                                 std::size_t limit,
+                                 std::size_t* blocks_examined) const override;
   std::string Describe() const override;
   IndexType type() const override { return child_type_; }
   std::unique_ptr<SpatialIndex> Clone() const override;

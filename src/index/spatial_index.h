@@ -10,11 +10,14 @@
 //   * enumerable blocks with a bounding region and a point count,
 //   * the points inside a block,
 //   * MINDIST- and MAXDIST-ordered block scans from an arbitrary point,
+//   * an order-free count of the points in blocks certainly within a
+//     distance (the Counting algorithm's pruning probe),
 //   * Locate: the block that stores a given indexed point,
 // plus a mutation API (Insert / Erase / BulkLoad) maintained
 // incrementally by every structure, so relations can change without a
 // rebuild. Reads stay lock-free: writers are serialized against all
-// readers by the owner (QueryEngine's reader/writer protocol).
+// readers by the owner (QueryEngine's write path, see the class
+// comment).
 
 #ifndef KNNQ_SRC_INDEX_SPATIAL_INDEX_H_
 #define KNNQ_SRC_INDEX_SPATIAL_INDEX_H_
@@ -104,8 +107,12 @@ struct BlockColumns {
 /// Concurrency: reads are safe from any number of threads with zero
 /// synchronization as long as no mutation is in flight. Insert / Erase /
 /// BulkLoad are NOT thread-safe and must be serialized against all
-/// readers by the caller — QueryEngine::Mutate does exactly that with a
-/// writer lock. BlockScan objects are single-threaded.
+/// readers by the caller. The engine's single write path,
+/// QueryEngine::ExecuteDml, does so in one of two ways: the default
+/// engine mutates in place under its writer lock; sharded mode's
+/// copy-on-write path applies writes to cloned shards and publishes a
+/// new wrapper, while in-flight queries keep the snapshot they pinned.
+/// BlockScan objects are single-threaded.
 class SpatialIndex {
  public:
   virtual ~SpatialIndex() = default;
@@ -185,6 +192,28 @@ class SpatialIndex {
   /// Starts a lazy block scan ordered by `order` from `query`.
   virtual std::unique_ptr<BlockScan> NewScan(const Point& query,
                                              ScanOrder order) const = 0;
+
+  /// The number of points in blocks whose box.MaxDist(query) is
+  /// strictly below `threshold`: points certainly closer to `query`
+  /// than `threshold`. The count is exact while it stays <= `limit`;
+  /// once it exceeds `limit` the walk may stop, returning any value
+  /// > `limit`. Adds the number of blocks whose MAXDIST it computed to
+  /// `*blocks_examined` (must be non-null).
+  ///
+  /// This is the Counting algorithm's pruning probe (Procedure 1): its
+  /// decision needs only the sum, not the MAXDIST order NewScan pays a
+  /// heap for. It allocates nothing and visits only the neighborhood of
+  /// `query`: the grid walks Chebyshev rings of cells out to the first
+  /// ring whose every cell lies >= threshold away; the trees descend
+  /// only into subtrees with MINDIST < threshold; a ShardedIndex skips
+  /// shards the same way. Every skip is sound in floating point, so a
+  /// count within `limit` equals an exhaustive pass over blocks(). Cost:
+  /// one MAXDIST per examined block (those near enough to matter, or
+  /// fewer once the limit is exceeded) plus, for the grid, a cell
+  /// lookup per walked ring cell.
+  virtual std::size_t CountWithinMaxDist(
+      const Point& query, double threshold, std::size_t limit,
+      std::size_t* blocks_examined) const = 0;
 
   /// One-line structural description, e.g. "grid 64x48, 3072 blocks".
   virtual std::string Describe() const = 0;

@@ -48,4 +48,52 @@ BlockId TreeScan::Next(double* key_dist) {
   return nodes_[top.node].block;
 }
 
+namespace {
+
+/// State of one CountTreeWithinMaxDist descent.
+struct TreeCount {
+  const std::vector<TreeNode>& nodes;
+  const std::vector<Block>& blocks;
+  const Point query;
+  const double threshold;
+  const std::size_t limit;
+  std::size_t count = 0;
+  std::size_t examined = 0;
+
+  /// Counts the subtree at `n`; true once the count exceeds `limit`.
+  bool Visit(std::uint32_t n) {
+    const TreeNode& node = nodes[n];
+    if (node.is_leaf()) {
+      ++examined;
+      const Block& block = blocks[node.block];
+      if (block.box.MaxDist(query) < threshold) count += block.count();
+      return count > limit;
+    }
+    if (node.box.MinDist(query) >= threshold) return false;
+    for (std::uint32_t c = 0; c < node.num_children; ++c) {
+      if (Visit(node.first_child + c)) return true;
+    }
+    return false;
+  }
+};
+
+}  // namespace
+
+std::size_t CountTreeWithinMaxDist(const std::vector<TreeNode>& nodes,
+                                   std::size_t root,
+                                   const std::vector<Block>& blocks,
+                                   const Point& query, double threshold,
+                                   std::size_t limit,
+                                   std::size_t* blocks_examined) {
+  if (root >= nodes.size() || !(threshold > 0.0)) return 0;
+  TreeCount walk{.nodes = nodes,
+                 .blocks = blocks,
+                 .query = query,
+                 .threshold = threshold,
+                 .limit = limit};
+  walk.Visit(static_cast<std::uint32_t>(root));
+  *blocks_examined += walk.examined;
+  return walk.count;
+}
+
 }  // namespace knnq

@@ -10,7 +10,8 @@
 //     leaf's MAXDIST >= its MINDIST >= its ancestor's MINDIST, so the
 //     node key is still a valid lower bound for descendant MAXDISTs.
 // Leaves are keyed by the exact metric; a leaf at the top of the heap is
-// therefore globally next.
+// therefore globally next. CountTreeWithinMaxDist prunes with the same
+// MINDIST bound but needs no order, so it descends without a heap.
 
 #ifndef KNNQ_SRC_INDEX_TREE_SCAN_H_
 #define KNNQ_SRC_INDEX_TREE_SCAN_H_
@@ -70,6 +71,20 @@ class TreeScan final : public BlockScan {
   const ScanOrder order_;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
 };
+
+/// SpatialIndex::CountWithinMaxDist over a TreeNode array: a
+/// depth-first descent (recursion depth = tree height, no allocation)
+/// that skips internal nodes whose MINDIST from `query` is >=
+/// `threshold` — every descendant block box lies inside the node box,
+/// so its MAXDIST >= its MINDIST >= the node's — and counts the points
+/// of leaf blocks (`blocks[leaf.block]`) whose MAXDIST is below it.
+/// `root` as for TreeScan.
+std::size_t CountTreeWithinMaxDist(const std::vector<TreeNode>& nodes,
+                                   std::size_t root,
+                                   const std::vector<Block>& blocks,
+                                   const Point& query, double threshold,
+                                   std::size_t limit,
+                                   std::size_t* blocks_examined);
 
 }  // namespace knnq
 

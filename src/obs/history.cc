@@ -127,6 +127,16 @@ HistorySnapshot MetricsHistory::Snapshot() const {
   return snap;
 }
 
+std::optional<double> MetricsHistory::Latest(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (size_ == 0) return std::nullopt;
+  const std::size_t newest = (head_ + size_ - 1) % options_.capacity;
+  for (std::size_t s = 0; s < sources_.size(); ++s) {
+    if (sources_[s].name == name) return values_[s][newest];
+  }
+  return std::nullopt;
+}
+
 std::string MetricsHistory::RenderJson() const {
   const HistorySnapshot snap = Snapshot();
   std::string out = "{\"interval_ms\": " +

@@ -20,7 +20,9 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -73,6 +75,11 @@ class MetricsHistory {
 
   /// Consistent copy of every ring (see HistorySnapshot).
   HistorySnapshot Snapshot() const;
+
+  /// The most recent sample of series `name`, or nullopt before the
+  /// first sample (or for an unknown name). Gauges served from here
+  /// read the same value on every render within one sampling interval.
+  std::optional<double> Latest(std::string_view name) const;
 
   /// The snapshot as JSON: `{"interval_ms": N, "samples": M,
   /// "t_ms": [...], "series": {"name": [...], ...}}`.

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -84,9 +85,27 @@ Server::Server(QueryEngine* engine, ServerOptions options)
         return static_cast<double>(engine_->pool_queue_depth());
       });
 
+  // The ring sampler: saturation and rate trends over a fixed window,
+  // served by /statusz and the HISTORY verb.
+  history_ = std::make_unique<obs::MetricsHistory>(obs::HistoryOptions{
+      .interval_ms = options_.history_interval_ms,
+      .capacity = options_.history_capacity});
+
   // Self-instrumentation: build identity and process vitals, exposed
   // through the SAME registry as everything else so the METRICS verb
-  // and GET /metrics render them identically.
+  // and GET /metrics render them identically. The vitals are sampled
+  // by the history ring and served from its latest reading, so every
+  // render within one sampling interval agrees (and matches /statusz)
+  // even when the allocator grows RSS between two renders; before the
+  // first sample (server not started) they read the process directly.
+  const auto process_gauge = [this](const char* name, const char* help,
+                                    double (*read)()) {
+    history_->AddSource(name, read);
+    registry_.RegisterCallbackGauge(name, help, [this, name, read] {
+      const std::optional<double> sampled = history_->Latest(name);
+      return sampled.has_value() ? *sampled : read();
+    });
+  };
   registry_.RegisterCallbackGauge(
       "knnq_build_info", "Always 1. Build: " + obs::BuildInfoLine() + ".",
       [] { return 1.0; });
@@ -100,26 +119,18 @@ Server::Server(QueryEngine* engine, ServerOptions options)
                 std::chrono::steady_clock::now() - start_time_)
                 .count());
       });
-  registry_.RegisterCallbackGauge(
-      "knnq_process_resident_memory_bytes", "Resident set size.",
-      [] { return obs::ProcessRssBytes(); });
-  registry_.RegisterCallbackGauge("knnq_process_open_fds",
-                                  "Open file descriptors.",
-                                  [] { return obs::ProcessOpenFds(); });
-  registry_.RegisterCallbackGauge("knnq_process_threads",
-                                  "OS threads in this process.",
-                                  [] { return obs::ProcessThreadCount(); });
+  process_gauge("knnq_process_resident_memory_bytes", "Resident set size.",
+                &obs::ProcessRssBytes);
+  process_gauge("knnq_process_open_fds", "Open file descriptors.",
+                &obs::ProcessOpenFds);
+  process_gauge("knnq_process_threads", "OS threads in this process.",
+                &obs::ProcessThreadCount);
   registry_.RegisterCallbackCounter(
       "knnq_http_requests_total",
       "HTTP observability requests answered (any status).", [this] {
         return http_ != nullptr ? http_->requests_served() : 0;
       });
 
-  // The ring sampler: saturation and rate trends over a fixed window,
-  // served by /statusz and the HISTORY verb.
-  history_ = std::make_unique<obs::MetricsHistory>(obs::HistoryOptions{
-      .interval_ms = options_.history_interval_ms,
-      .capacity = options_.history_capacity});
   history_->AddSource("knnq_server_requests_total", [this] {
     return static_cast<double>(metrics_.requests.Value());
   });
@@ -135,8 +146,6 @@ Server::Server(QueryEngine* engine, ServerOptions options)
   history_->AddSource("knnq_engine_pool_queue_depth", [this] {
     return static_cast<double>(engine_->pool_queue_depth());
   });
-  history_->AddSource("knnq_process_resident_memory_bytes",
-                      [] { return obs::ProcessRssBytes(); });
 
   // Engine cumulative totals, snapshotted at scrape time. One
   // StatsSnapshot per metric is fine: METRICS is a scrape path, not a

@@ -160,6 +160,22 @@ TEST(MetricsHistoryTest, RingWrapsKeepingNewestSamples) {
   EXPECT_EQ(snap.values[0], (std::vector<double>{3.0, 4.0, 5.0, 6.0}));
 }
 
+TEST(MetricsHistoryTest, LatestIsTheNewestSampleUntilTheNext) {
+  MetricsHistory history({.interval_ms = 1000, .capacity = 3});
+  double tick = 7.0;
+  history.AddSource("ticks", [&tick] { return tick; });
+  EXPECT_FALSE(history.Latest("ticks").has_value()) << "no sample yet";
+  for (int i = 0; i < 5; ++i) {  // Wraps the 3-slot ring.
+    tick = static_cast<double>(i);
+    history.SampleOnce();
+  }
+  tick = 99.0;  // The source moves; the served value waits for a sample.
+  EXPECT_EQ(history.Latest("ticks"), 4.0);
+  history.SampleOnce();
+  EXPECT_EQ(history.Latest("ticks"), 99.0);
+  EXPECT_FALSE(history.Latest("unknown").has_value());
+}
+
 TEST(MetricsHistoryTest, TimestampsMonotoneAcrossWrap) {
   MetricsHistory history({.interval_ms = 1000, .capacity = 3});
   history.AddSource("zero", [] { return 0.0; });
@@ -450,6 +466,33 @@ TEST(HttpPlaneTest, MetricsBodyByteIdenticalToInProcessRender) {
   EXPECT_TRUE(identical) << "GET /metrics body:\n"
                          << body << "\nRenderPrometheus():\n"
                          << direct;
+}
+
+TEST(HttpPlaneTest, ProcessGaugesServeTheLatestHistorySample) {
+  ServerOptions options = HttpServerEnabled();
+  options.history_interval_ms = 600000;  // Only Start()'s t=0 sample.
+  QueryEngine engine(MakeHttpCatalog(), SmallEngine());
+  Server server(&engine, options);
+  ASSERT_TRUE(server.Start().ok());
+  const std::string kRss = "\nknnq_process_resident_memory_bytes ";
+  const auto rss_line = [&kRss](const std::string& render) {
+    const std::size_t at = render.find(kRss);
+    return at == std::string::npos
+               ? std::string()
+               : render.substr(at, render.find('\n', at + 1) - at);
+  };
+  const std::string before = rss_line(server.RenderPrometheus());
+  ASSERT_FALSE(before.empty());
+  // Touch 32 MiB: the process's RSS grows, the served gauge must not.
+  std::vector<char> ballast(32 << 20);
+  std::memset(ballast.data(), 1, ballast.size());
+  EXPECT_EQ(rss_line(server.RenderPrometheus()), before);
+  const auto sampled =
+      server.history()->Latest("knnq_process_resident_memory_bytes");
+  ASSERT_TRUE(sampled.has_value());
+  EXPECT_EQ(std::stod(before.substr(kRss.size())), *sampled);
+  EXPECT_EQ(ballast[ballast.size() - 1], 1);
+  server.Stop();
 }
 
 TEST(HttpPlaneTest, SelfInstrumentationGaugesExposedOnBothPlanes) {

@@ -4,8 +4,14 @@
 // equals an index-free brute-force evaluation - across index
 // structures, data shapes, and k combinations.
 
+#include <cmath>
+#include <vector>
+
 #include "gtest/gtest.h"
+#include "src/core/range_select_inner_join.h"
 #include "src/core/select_inner_join.h"
+#include "src/engine/neighborhood_cache.h"
+#include "src/index/distance_kernel.h"
 #include "tests/test_util.h"
 
 namespace knnq {
@@ -314,6 +320,190 @@ TEST(SelectInnerJoinTest, PaperFigure1Scenario) {
       << "pushing the select below the inner side must change results "
          "(that is exactly why it is invalid)";
 }
+
+// --- Counting differential: results and pruning counts per structure ---
+
+/// Procedure 1's pruning rule as a heap-ordered MAXDIST block scan
+/// evaluates it: pop blocks in ascending MAXDIST and stop at the first
+/// at or past the threshold, or once more than k points accumulated.
+/// The evaluators' order-free count must prune exactly these points.
+bool ScanPrunes(const SpatialIndex& inner, const Point& e1, double threshold,
+                std::size_t k) {
+  std::size_t count = 0;
+  auto scan = inner.NewScan(e1, ScanOrder::kMaxDist);
+  double max_dist = 0.0;
+  while (count <= k && scan->HasNext()) {
+    const BlockId id = scan->Next(&max_dist);
+    if (max_dist >= threshold) break;
+    count += inner.block(id).count();
+  }
+  return count > k;
+}
+
+/// The select-inner threshold: distance from e1 to the nearest focal
+/// neighbor, through the same kernel the evaluator uses.
+double FocalThreshold(const Point& e1, const Neighborhood& nbr_f) {
+  std::vector<double> x, y;
+  for (const Neighbor& n : nbr_f) {
+    x.push_back(n.point.x);
+    y.push_back(n.point.y);
+  }
+  return std::sqrt(
+      MinSquaredDistance(x.data(), y.data(), x.size(), e1.x, e1.y));
+}
+
+JoinResult RefRangeSelectInnerJoin(const PointSet& outer,
+                                   const PointSet& inner, std::size_t join_k,
+                                   const BoundingBox& range) {
+  JoinResult pairs;
+  for (const Point& e1 : outer) {
+    for (const Neighbor& n : BruteForceKnn(inner, e1, join_k)) {
+      if (range.Contains(n.point)) pairs.push_back(JoinPair{e1, n.point});
+    }
+  }
+  Canonicalize(pairs);
+  return pairs;
+}
+
+struct CountingCase {
+  IndexType type;
+  std::size_t shards;
+  bool cache;
+};
+
+std::string CountingCaseName(
+    const ::testing::TestParamInfo<CountingCase>& info) {
+  return std::string(ToString(info.param.type)) + "_x" +
+         std::to_string(info.param.shards) +
+         (info.param.cache ? "_cache" : "_nocache");
+}
+
+class CountingDifferentialTest
+    : public ::testing::TestWithParam<CountingCase> {
+ protected:
+  void SetUp() override {
+    outer_ = MakeUniform(500, /*seed=*/71, /*first_id=*/0);
+    inner_ = MakeCity(2000, /*seed=*/72, /*first_id=*/100000);
+    IndexOptions options;
+    options.type = GetParam().type;
+    options.block_capacity = 16;
+    options.shards = GetParam().shards;
+    outer_index_ = std::move(BuildIndex(outer_, options)).value();
+    inner_index_ = std::move(BuildIndex(inner_, options)).value();
+  }
+
+  NeighborhoodCache* cache() { return GetParam().cache ? &cache_ : nullptr; }
+
+  PointSet outer_, inner_;
+  std::unique_ptr<SpatialIndex> outer_index_, inner_index_;
+  NeighborhoodCache cache_;
+};
+
+TEST_P(CountingDifferentialTest, SelectInnerMatchesNaiveAndScanPruning) {
+  struct Select {
+    Point focal;
+    std::size_t join_k, select_k;
+  };
+  // Near the outer relation's center, at its edge, and far outside it
+  // (the focal neighborhood is then one corner of the inner relation
+  // and most outer points prune).
+  const Select selects[] = {{{.id = -1, .x = 500, .y = 400}, 3, 6},
+                            {{.id = -1, .x = 980, .y = 20}, 5, 4},
+                            {{.id = -1, .x = 2600, .y = -1500}, 2, 10}};
+  std::size_t total_pruned = 0;
+  for (const Select& sel : selects) {
+    const SelectInnerJoinQuery query{.outer = outer_index_.get(),
+                                     .inner = inner_index_.get(),
+                                     .join_k = sel.join_k,
+                                     .focal = sel.focal,
+                                     .select_k = sel.select_k};
+    const JoinResult expected = RefSelectInnerJoin(
+        outer_, inner_, sel.join_k, sel.focal, sel.select_k);
+    const Neighborhood nbr_f = BruteForceKnn(inner_, sel.focal, sel.select_k);
+    std::size_t want_pruned = 0;
+    for (const Point& e1 : outer_index_->points()) {
+      want_pruned += ScanPrunes(*inner_index_, e1, FocalThreshold(e1, nbr_f),
+                                sel.join_k);
+    }
+    total_pruned += want_pruned;
+
+    SelectInnerJoinStats naive_stats;
+    const auto naive =
+        SelectInnerJoinNaive(query, &naive_stats, nullptr, cache());
+    ASSERT_TRUE(naive.ok());
+    EXPECT_EQ(*naive, expected);
+    EXPECT_EQ(naive_stats.neighborhoods_computed, outer_.size());
+    // Twice: with the cache on, the second run is served from it.
+    for (int run = 0; run < 2; ++run) {
+      SelectInnerJoinStats stats;
+      const auto counting =
+          SelectInnerJoinCounting(query, &stats, nullptr, cache());
+      ASSERT_TRUE(counting.ok());
+      EXPECT_EQ(*counting, expected) << "focal " << sel.focal.ToString();
+      EXPECT_EQ(stats.pruned_points, want_pruned);
+      EXPECT_EQ(stats.neighborhoods_computed, outer_.size() - want_pruned);
+    }
+  }
+  EXPECT_GT(total_pruned, 0u) << "the sweep must exercise pruning";
+}
+
+TEST_P(CountingDifferentialTest, RangeInnerMatchesNaiveAndScanPruning) {
+  struct Range {
+    BoundingBox range;
+    std::size_t join_k;
+  };
+  // A rectangle holding outer points (their threshold is 0), a thin
+  // strip, and one far outside both relations.
+  const Range ranges[] = {{BoundingBox(350, 250, 650, 550), 3},
+                          {BoundingBox(100, 600, 101, 700), 4},
+                          {BoundingBox(3000, 3000, 3100, 3050), 2}};
+  std::size_t total_pruned = 0;
+  for (const Range& r : ranges) {
+    const RangeSelectInnerJoinQuery query{.outer = outer_index_.get(),
+                                          .inner = inner_index_.get(),
+                                          .join_k = r.join_k,
+                                          .range = r.range};
+    const JoinResult expected =
+        RefRangeSelectInnerJoin(outer_, inner_, r.join_k, r.range);
+    std::size_t want_pruned = 0;
+    for (const Point& e1 : outer_index_->points()) {
+      want_pruned += ScanPrunes(*inner_index_, e1, r.range.MinDist(e1),
+                                r.join_k);
+    }
+    total_pruned += want_pruned;
+
+    const auto naive =
+        RangeSelectInnerJoinNaive(query, nullptr, nullptr, cache());
+    ASSERT_TRUE(naive.ok());
+    EXPECT_EQ(*naive, expected);
+    for (int run = 0; run < 2; ++run) {
+      SelectInnerJoinStats stats;
+      const auto counting =
+          RangeSelectInnerJoinCounting(query, &stats, nullptr, cache());
+      ASSERT_TRUE(counting.ok());
+      EXPECT_EQ(*counting, expected) << "range " << r.range.ToString();
+      EXPECT_EQ(stats.pruned_points, want_pruned);
+      EXPECT_EQ(stats.neighborhoods_computed, outer_.size() - want_pruned);
+    }
+  }
+  EXPECT_GT(total_pruned, 0u) << "the sweep must exercise pruning";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStructures, CountingDifferentialTest,
+    ::testing::Values(CountingCase{IndexType::kGrid, 1, false},
+                      CountingCase{IndexType::kGrid, 1, true},
+                      CountingCase{IndexType::kGrid, 4, false},
+                      CountingCase{IndexType::kGrid, 4, true},
+                      CountingCase{IndexType::kQuadtree, 1, false},
+                      CountingCase{IndexType::kQuadtree, 1, true},
+                      CountingCase{IndexType::kQuadtree, 4, false},
+                      CountingCase{IndexType::kQuadtree, 4, true},
+                      CountingCase{IndexType::kRTree, 1, false},
+                      CountingCase{IndexType::kRTree, 1, true},
+                      CountingCase{IndexType::kRTree, 4, false},
+                      CountingCase{IndexType::kRTree, 4, true}),
+    CountingCaseName);
 
 }  // namespace
 }  // namespace knnq
